@@ -360,32 +360,6 @@ func BenchmarkHostCBNetPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkInferScratch is the dynamic-dispatch compatibility path: the
-// 16-image pipeline forward over Sequential.InferScratch with every buffer
-// borrowed from a warm arena — per-call interface dispatch, per-layer
-// bias/activation sweeps. The gap to BenchmarkPlanExecute is what plan
-// compilation (fused GEMM epilogues, preplanned buffers, flat step loop)
-// buys on identical arithmetic.
-func BenchmarkInferScratch(b *testing.B) {
-	br := models.NewBranchyLeNet(rng.New(4), 0.05)
-	pipe := &core.Pipeline{
-		AE:         models.NewTableIAE(dataset.MNIST, rng.New(5)),
-		Classifier: models.ExtractLightweight(br),
-	}
-	x := hostBatch(16)
-	dst := make([]int, 16)
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		converted := pipe.ConvertScratch(x, s)
-		pipe.LogitsScratch(converted, s).ArgMaxRows(dst)
-	}
-	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
-}
-
 // BenchmarkPlanExecute is the engine worker's actual hot loop: the compiled
 // AE and classifier plans executed back to back. -benchmem must report
 // 0 allocs/op.

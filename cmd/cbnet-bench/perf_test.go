@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cbnet/internal/bench"
@@ -81,5 +82,41 @@ func TestDiffPerf(t *testing.T) {
 	}
 	if err := diffPerf(snap, fastBase, fastPath, 0.2); err == nil {
 		t.Fatal("diff against a 10x faster baseline must fail")
+	}
+}
+
+// TestDiffAgainstCommittedSnapshot diffs a fresh capture against a
+// committed snapshot written by an older schema revision: it still carries
+// the retired fmaKernel field and the pipeline/infer-scratch/batch16 row.
+// The old file must load, the retired row must surface as missing from the
+// capture, and a missing row is a warning, not a gate failure (the huge
+// tolerance keeps this host's timings out of the verdict).
+func TestDiffAgainstCommittedSnapshot(t *testing.T) {
+	const committed = "../../BENCH_2026-08-08.json"
+	base, err := bench.ReadSnapshot(committed)
+	if err != nil {
+		t.Fatalf("committed snapshot no longer loads: %v", err)
+	}
+	if base.GEMMKernel == "" {
+		t.Fatal("committed snapshot lost its gemmKernel field")
+	}
+	snap, err := runPerf(filepath.Join(t.TempDir(), "BENCH_fresh.json"), "rowops/addrowvector")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The filtered capture misses most rows; of those, only the retired
+	// row is gone from the registry itself.
+	const retired = "pipeline/infer-scratch/batch16"
+	var unregistered []string
+	for _, name := range bench.MissingFromCurrent(base, snap) {
+		if !slices.Contains(bench.Names(), name) {
+			unregistered = append(unregistered, name)
+		}
+	}
+	if !slices.Equal(unregistered, []string{retired}) {
+		t.Fatalf("committed rows missing from the registry: %v, want [%s]", unregistered, retired)
+	}
+	if err := diffPerf(snap, base, committed, 1e9); err != nil {
+		t.Fatalf("a retired row must only warn: %v", err)
 	}
 }

@@ -56,7 +56,6 @@ type Snapshot struct {
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
-	FMAKernel  bool     `json:"fmaKernel"`
 	GEMMKernel string   `json:"gemmKernel,omitempty"`
 	Results    []Result `json:"results"`
 }
@@ -86,7 +85,6 @@ func registry() []benchDef {
 		{"pipeline/infer/batch16", benchInfer},
 		{"pipeline/forward-batch16-t4", benchInferThreads(4)},
 		{"pipeline/infer-traced/batch16", benchInferTraced},
-		{"pipeline/infer-scratch/batch16", benchInferScratch},
 		{"engine/throughput/routed", benchEngineThroughput},
 		{"engine/slo-observe", benchSLOObserve},
 		{"engine/breaker-observe", benchBreakerObserve},
@@ -114,7 +112,6 @@ func Run(now time.Time, filters ...string) Snapshot {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		FMAKernel:  tensor.BlockedKernelEnabled(),
 		GEMMKernel: tensor.GEMMKernelName(),
 	}
 	for _, d := range registry() {
@@ -163,8 +160,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 // Summary renders a human-readable table of the snapshot.
 func (s Snapshot) Summary() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "perf snapshot %s (%s %s/%s, GOMAXPROCS=%d, FMA kernel=%v)\n",
-		s.Date, s.GoVersion, s.GOOS, s.GOARCH, s.GOMAXPROCS, s.FMAKernel)
+	fmt.Fprintf(&sb, "perf snapshot %s (%s %s/%s, GOMAXPROCS=%d, GEMM kernel=%s)\n",
+		s.Date, s.GoVersion, s.GOOS, s.GOARCH, s.GOMAXPROCS, s.GEMMKernel)
 	for _, r := range s.Results {
 		fmt.Fprintf(&sb, "  %-40s %12.0f ns/op %6d allocs/op", r.Name, r.NsPerOp, r.AllocsPerOp)
 		keys := make([]string, 0, len(r.Metrics))
@@ -365,27 +362,6 @@ func benchInferTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ps.InferInto(dst, x)
-	}
-	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
-}
-
-// benchInferScratch measures the retained dynamic-dispatch compatibility
-// path (Sequential.InferScratch over a bump arena), the baseline the
-// compiled-plan rows are read against.
-func benchInferScratch(b *testing.B) {
-	pipe := perfPipeline()
-	x := perfBatch(16)
-	dst := make([]int, 16)
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	// Grow the arena to its steady-state footprint outside the window.
-	pipe.LogitsScratch(pipe.ConvertScratch(x, s), s).ArgMaxRows(dst)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		converted := pipe.ConvertScratch(x, s)
-		pipe.LogitsScratch(converted, s).ArgMaxRows(dst)
 	}
 	b.ReportMetric(16*float64(b.N)/b.Elapsed().Seconds(), "imgs/s")
 }

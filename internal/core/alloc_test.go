@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"cbnet/internal/dataset"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
@@ -119,7 +122,7 @@ func TestPooledWrappersBounded(t *testing.T) {
 }
 
 // TestInferIntoMatchesInfer guards the plan-backed fast paths against each
-// other and against the dynamic scratch compatibility path.
+// other and against the Forward reference.
 func TestInferIntoMatchesInfer(t *testing.T) {
 	pipe := allocTestPipeline()
 	x := testBatch(16)
@@ -139,18 +142,39 @@ func TestInferIntoMatchesInfer(t *testing.T) {
 		}
 	}
 
-	// The dynamic InferScratch path stays the reference: the compiled plans
-	// must agree with it prediction-for-prediction.
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	converted := pipe.ConvertScratch(x, s)
-	scratchPreds := make([]int, 16)
-	pipe.LogitsScratch(converted, s).ArgMaxRows(scratchPreds)
+	// Forward stays the reference: the compiled plans must agree with it
+	// prediction-for-prediction.
+	refPreds := make([]int, 16)
+	pipe.Classifier.Forward(pipe.AE.Net.Forward(x, false), false).ArgMaxRows(refPreds)
 	for i := range want {
-		if want[i] != scratchPreds[i] {
-			t.Fatalf("plan pred[%d] = %d, scratch path = %d", i, want[i], scratchPreds[i])
+		if want[i] != refPreds[i] {
+			t.Fatalf("plan pred[%d] = %d, Forward = %d", i, want[i], refPreds[i])
 		}
 	}
+}
+
+// TestInferIntoPanicsOnUncompilableClassifier: plans are the only inference
+// path, so a classifier the plan compiler rejects fails loudly with the
+// compile error instead of serving.
+func TestInferIntoPanicsOnUncompilableClassifier(t *testing.T) {
+	pipe := allocTestPipeline()
+	r := rng.New(5)
+	pipe.Classifier = nn.NewSequential("mismatch",
+		nn.NewDense("a", dataset.Pixels, 8, r), nn.NewDense("b", 9, dataset.NumClasses, r))
+	_, compileErr := nn.Compile(pipe.Classifier, 16)
+	if compileErr == nil {
+		t.Fatal("width-mismatched classifier compiled")
+	}
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("InferInto on an uncompilable classifier: want panic")
+		}
+		if msg := fmt.Sprint(p); !strings.Contains(msg, compileErr.Error()) {
+			t.Fatalf("panic %q does not carry the compile error %q", msg, compileErr)
+		}
+	}()
+	pipe.InferInto(make([]int, 4), testBatch(4))
 }
 
 // TestPipelinePlanCacheInvalidation: replacing the pipeline's exported
@@ -165,11 +189,9 @@ func TestPipelinePlanCacheInvalidation(t *testing.T) {
 	pipe.Classifier = models.ExtractLightweight(br2)
 	got := pipe.ClassifyDirect(x)
 
-	// Reference: the dynamic path always reads the current field.
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
+	// Reference: Forward always reads the current field.
 	want := make([]int, 8)
-	pipe.LogitsScratch(x, s).ArgMaxRows(want)
+	pipe.Classifier.Forward(x, false).ArgMaxRows(want)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pred[%d] = %d after classifier swap, want %d (stale plan cache?)", i, got[i], want[i])

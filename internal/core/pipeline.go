@@ -30,31 +30,29 @@ import (
 //
 // Serving runs on compiled execution plans (nn.Compile): the pipeline keeps
 // a private, mutex-guarded PlanSet for its own methods and hands fresh sets
-// to concurrent callers via Plans (engine workers own one each). When a
-// network contains layers the plan compiler does not support, the pipeline
-// transparently falls back to the dynamic InferScratch path.
+// to concurrent callers via Plans (engine workers own one each). Forward is
+// the training path and the reference; plans are the only inference path,
+// so a network the plan compiler rejects cannot serve.
 type Pipeline struct {
 	AE         *models.ConvertingAE
 	Classifier *nn.Sequential
 
-	// mu guards the lazily compiled plan set (and the fallback arena) used
-	// by the pipeline's own inference methods.
-	mu            sync.Mutex
-	plans         *PlanSet
-	aeErr, clsErr bool // sticky per-network compile failures
+	// mu guards the lazily compiled plan set used by the pipeline's own
+	// inference methods.
+	mu    sync.Mutex
+	plans *PlanSet
 	// plansAE/plansCls record which networks the cached set was compiled
 	// from: replacing the exported AE/Classifier fields invalidates the
-	// cache (and the sticky failures) on the next call. In-place weight
-	// updates need no invalidation — plans share the parameter tensors.
+	// cache on the next call. In-place weight updates need no
+	// invalidation — plans share the parameter tensors.
 	plansAE  *models.ConvertingAE
 	plansCls *nn.Sequential
-	scratch  *tensor.Scratch // dynamic-shape fallback, lazily allocated
 }
 
 // PlanSet bundles the compiled AE and classifier plans of one pipeline at a
-// fixed batch capacity. Like a scratch arena, a PlanSet owns its buffers
-// and serves one goroutine; compile one per worker via Pipeline.Plans (or
-// ClassifierPlans for the AE-free easy route). The plans share the
+// fixed batch capacity. A PlanSet owns its buffers and serves one
+// goroutine; compile one per worker via Pipeline.Plans (or via PlanSetFor,
+// for the classifier alone on the AE-free easy route). The plans share the
 // pipeline's parameter tensors, so they always serve the current weights.
 type PlanSet struct {
 	ae  *nn.Plan
@@ -76,22 +74,12 @@ func (p *Pipeline) Plans(batchCap int) (*PlanSet, error) {
 	return &PlanSet{ae: ae, cls: cls, cap: batchCap}, nil
 }
 
-// ClassifierPlans compiles a classifier-only plan set — the easy route
-// never runs the autoencoder, so its workers skip the AE plan's buffer
-// entirely. Convert and InferInto panic on such a set.
-func (p *Pipeline) ClassifierPlans(batchCap int) (*PlanSet, error) {
-	cls, err := nn.Compile(p.Classifier, batchCap)
-	if err != nil {
-		return nil, fmt.Errorf("core: classifier plan: %w", err)
-	}
-	return &PlanSet{cls: cls, cap: batchCap}, nil
-}
-
 // PlanSetFor compiles a standalone pixels→logits network (a pruned or
 // early-exit family member from internal/compress or models) into a
 // classifier-only plan set, so the engine can host it as a variant route
-// with the exact worker wiring the built-in routes use. Convert and
-// InferInto panic on such a set, like on ClassifierPlans.
+// with the exact worker wiring the built-in routes use. The easy route
+// compiles the pipeline's classifier the same way, so its workers skip the
+// AE plan's buffers entirely. Convert and InferInto panic on such a set.
 func PlanSetFor(net *nn.Sequential, batchCap int) (*PlanSet, error) {
 	cls, err := nn.Compile(net, batchCap)
 	if err != nil {
@@ -159,72 +147,29 @@ func (ps *PlanSet) ClassifyDirectInto(dst []int, x *tensor.Tensor) {
 }
 
 // planSetLocked returns a plan set able to take batches of n rows, growing
-// (recompiling) the pipeline's private set on demand. The two networks
-// compile independently: a non-compilable AE still leaves the classifier
-// plan serving ClassifyDirectInto, and vice versa — callers check the
-// sub-plans they need and fall back to InferScratch per network. p.mu must
-// be held.
+// (recompiling) the pipeline's private set on demand. It panics with the
+// compile error when either network has no plan. p.mu must be held.
 func (p *Pipeline) planSetLocked(n int) *PlanSet {
 	if p.plansAE != p.AE || p.plansCls != p.Classifier {
-		// The networks were swapped out from under the cache: recompile
-		// and give previously failing networks another chance.
+		// The networks were swapped out from under the cache: recompile.
 		p.plans = nil
-		p.aeErr, p.clsErr = false, false
 		p.plansAE, p.plansCls = p.AE, p.Classifier
 	}
 	if p.plans != nil && n <= p.plans.cap {
 		return p.plans
 	}
-	c := n
-	if c < 16 {
-		c = 16
-	}
-	ps := &PlanSet{cap: c}
-	if !p.aeErr {
-		if plan, err := p.AE.CompilePlan(c); err == nil {
-			ps.ae = plan
-		} else {
-			p.aeErr = true
-		}
-	}
-	if !p.clsErr {
-		if plan, err := nn.Compile(p.Classifier, c); err == nil {
-			ps.cls = plan
-		} else {
-			p.clsErr = true
-		}
+	ps, err := p.Plans(max(n, 16))
+	if err != nil {
+		panic(err)
 	}
 	p.plans = ps
 	return ps
-}
-
-// scratchLocked returns the pipeline's retained fallback arena. p.mu must
-// be held.
-func (p *Pipeline) scratchLocked() *tensor.Scratch {
-	if p.scratch == nil {
-		p.scratch = &tensor.Scratch{}
-	}
-	p.scratch.Reset()
-	return p.scratch
 }
 
 // Convert runs only the autoencoder stage, returning the transformed
 // images.
 func (p *Pipeline) Convert(x *tensor.Tensor) *tensor.Tensor {
 	return p.AE.Net.Forward(x, false)
-}
-
-// ConvertScratch runs the autoencoder stage with all buffers borrowed from
-// the scratch arena — the dynamic-shape compatibility path. The result is
-// arena-owned: copy out anything that must survive the arena's reset.
-func (p *Pipeline) ConvertScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return p.AE.Net.InferScratch(x, s)
-}
-
-// LogitsScratch runs only the lightweight classifier on the compatibility
-// path, returning arena-owned logits.
-func (p *Pipeline) LogitsScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	return p.Classifier.InferScratch(x, s)
 }
 
 // Infer classifies a batch through the full pipeline.
@@ -238,17 +183,12 @@ func (p *Pipeline) Infer(x *tensor.Tensor) []int {
 // into dst, which must have length x.Shape[0]. It executes the pipeline's
 // compiled plans — zero heap allocations once the plan set has warmed to
 // the batch capacity — serialized by the pipeline's mutex; concurrent
-// servers should run per-worker sets from Plans instead.
+// servers should run per-worker sets from Plans instead. It panics with
+// the compile error when either network has no plan.
 func (p *Pipeline) InferInto(dst []int, x *tensor.Tensor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ps := p.planSetLocked(x.Shape[0]); ps.ae != nil && ps.cls != nil {
-		ps.InferInto(dst, x)
-		return
-	}
-	s := p.scratchLocked()
-	converted := p.AE.Net.InferScratch(x, s)
-	p.Classifier.InferScratch(converted, s).ArgMaxRows(dst)
+	p.planSetLocked(x.Shape[0]).InferInto(dst, x)
 }
 
 // ClassifyDirect classifies a batch with the lightweight classifier alone,
@@ -268,12 +208,7 @@ func (p *Pipeline) ClassifyDirect(x *tensor.Tensor) []int {
 func (p *Pipeline) ClassifyDirectInto(dst []int, x *tensor.Tensor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ps := p.planSetLocked(x.Shape[0]); ps.cls != nil {
-		ps.ClassifyDirectInto(dst, x)
-		return
-	}
-	s := p.scratchLocked()
-	p.Classifier.InferScratch(x, s).ArgMaxRows(dst)
+	p.planSetLocked(x.Shape[0]).ClassifyDirectInto(dst, x)
 }
 
 // Accuracy returns pipeline classification accuracy over a dataset.

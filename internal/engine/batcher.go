@@ -21,24 +21,15 @@ const (
 	RouteHard RouteName = "hard"
 )
 
-// inferFn runs a batch on one worker's compiled plans (or its scratch
-// fallback) and returns (logits, converted); converted is nil on routes
-// that skip the autoencoder. Both results are plan- or arena-owned and only
-// valid until the worker's next batch.
-type inferFn func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor)
-
-// planFn compiles the route's PlanSet at a given batch capacity; a worker
-// that fails to compile falls back to the dynamic scratch path.
+// planFn compiles the route's PlanSet at a given batch capacity.
 type planFn func(batchCap int) (*core.PlanSet, error)
 
 // worker is one inference goroutine's private state. The serving path runs
 // on compiled execution plans — ps holds the worker's own PlanSet, sized to
 // MaxBatch, so steady-state batches execute with zero heap allocations and
-// no cross-worker sharing. When the pipeline's networks are not
-// plan-compilable, s carries the dynamic InferScratch fallback instead.
+// no cross-worker sharing.
 type worker struct {
 	ps *core.PlanSet
-	s  *tensor.Scratch
 
 	// buf backs the batch input tensor; x is the reusable header over it,
 	// resliced to the live batch size each round.
@@ -61,7 +52,7 @@ type route struct {
 	queue   chan *request   // admission-bounded; closed by Engine.Close
 	batches chan []*request // formed micro-batches; closed by the batcher
 	plans   planFn
-	infer   inferFn
+	convert bool // run the AE plan before the classifier (the hard route)
 	stats   *routeStats
 	breaker *resilience.Breaker // nil unless resilience is armed
 	started bool                // true once startRoute has launched its goroutines
@@ -71,7 +62,7 @@ type route struct {
 // launches its batcher and workers. The split lets DisableRouting keep
 // unused routes constructed (so Close can close their queues uniformly)
 // without idling goroutines on them.
-func (e *Engine) newRoute(name RouteName, plans planFn, infer inferFn) *route {
+func (e *Engine) newRoute(name RouteName, plans planFn, convert bool) *route {
 	rt := &route{
 		name:  name,
 		queue: make(chan *request, e.cfg.QueueDepth),
@@ -80,7 +71,7 @@ func (e *Engine) newRoute(name RouteName, plans planFn, infer inferFn) *route {
 		// work-conserving (see batchLoop).
 		batches: make(chan []*request),
 		plans:   plans,
-		infer:   infer,
+		convert: convert,
 		stats:   e.stats.route(name),
 	}
 	if e.res != nil {
@@ -202,26 +193,22 @@ func (e *Engine) batchLoop(rt *route) {
 
 // workerLoop executes formed batches until the batcher closes the channel.
 // Each worker owns one compiled PlanSet for its lifetime, so steady-state
-// batches run a flat precompiled step loop with zero heap allocations; a
-// pipeline the plan compiler cannot handle demotes the worker to a private
-// scratch arena running the dynamic path. A panicking forward pass fails
-// only that batch's callers (see safeInfer) — the worker survives.
-func (e *Engine) workerLoop(rt *route, idx int) {
+// batches run a flat precompiled step loop with zero heap allocations. A
+// panicking forward pass fails only that batch's callers (see safeInfer) —
+// the worker survives.
+func (e *Engine) workerLoop(rt *route, w *worker) {
 	defer e.wg.Done()
-	w := e.newWorker(rt, idx)
-	if w.s != nil {
-		defer tensor.PutScratch(w.s)
-	}
 	for batch := range rt.batches {
 		e.runBatch(rt, batch, w)
 	}
 }
 
 // newWorker builds one worker's private state: batch buffers, a compiled
-// PlanSet (or the scratch fallback), and a registered span recorder wired
-// into both the lifecycle spans and the plans' per-step spans. The
-// zero-alloc regression test reuses this exact wiring, so the traced
-// production path is what gets measured.
+// PlanSet, and a registered span recorder wired into both the lifecycle
+// spans and the plans' per-step spans. It panics with the compile error
+// when the route's network has no plan. The zero-alloc regression test
+// reuses this exact wiring, so the traced production path is what gets
+// measured.
 func (e *Engine) newWorker(rt *route, idx int) *worker {
 	w := &worker{
 		buf:       make([]float32, e.cfg.MaxBatch*dataset.Pixels),
@@ -231,12 +218,12 @@ func (e *Engine) newWorker(rt *route, idx int) *worker {
 	}
 	w.x = tensor.Tensor{Shape: []int{0, dataset.Pixels}}
 	e.registerTrack(fmt.Sprintf("%s/worker%d", rt.name, idx), w.rec)
-	if ps, err := rt.plans(e.cfg.MaxBatch); err == nil {
-		ps.EnableTracingScoped(w.rec, e.meter, string(rt.name))
-		w.ps = ps
-	} else {
-		w.s = tensor.GetScratch()
+	ps, err := rt.plans(e.cfg.MaxBatch)
+	if err != nil {
+		panic(fmt.Sprintf("engine: route %s: %v", rt.name, err))
 	}
+	ps.EnableTracingScoped(w.rec, e.meter, string(rt.name))
+	w.ps = ps
 	return w
 }
 
@@ -261,8 +248,11 @@ func (e *Engine) safeInfer(rt *route, w *worker, x *tensor.Tensor) (logits, conv
 			return nil, nil, fmt.Errorf("%w: %v", ErrInferFailed, ferr)
 		}
 	}
-	logits, converted = rt.infer(w, x)
-	return logits, converted, nil
+	if rt.convert {
+		converted = w.ps.Convert(x)
+		x = converted
+	}
+	return w.ps.Logits(x), converted, nil
 }
 
 // runBatch assembles the batch tensor in the worker's buffer, runs the
@@ -290,9 +280,6 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 		return
 	}
 	n := len(batch)
-	if w.s != nil {
-		w.s.Reset()
-	}
 	batchID := e.batchSeq.Add(1)
 	w.x.Shape[0] = n
 	w.x.Data = w.buf[:n*dataset.Pixels]
@@ -315,9 +302,7 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 			Name: w.routeName, Batch: n, Start: open, Dur: t0 - open})
 	}
 	rt.stats.queued.Add(-int64(n))
-	if w.ps != nil {
-		w.ps.SetTraceID(batchID)
-	}
+	w.ps.SetTraceID(batchID)
 
 	start := time.Now()
 	logits, converted, inferErr := e.safeInfer(rt, w, &w.x)
@@ -333,14 +318,13 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 		// With resilience armed, a multi-request batch is bisected so
 		// only the culprit fails; otherwise (or for singletons, where
 		// there is nothing to split) fail this batch's callers. Either
-		// way the worker survives; the next batch starts from a Reset
-		// scratch / fresh plan run.
+		// way the worker survives; the next batch starts a fresh plan
+		// run.
 		if e.res != nil && n > 1 {
 			e.bisect(rt, w, batch, batchID, inferErr)
 		} else {
 			e.failSubBatch(rt, batch, inferErr)
 		}
-		rt.stats.inflight.Add(-int64(n))
 		w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindRespond,
 			Name: w.routeName, Batch: n, Start: tExec, Dur: trace.Now() - tExec})
 		return
@@ -366,9 +350,10 @@ func (e *Engine) runBatch(rt *route, batch []*request, w *worker) {
 		if e.res != nil {
 			e.res.budget.OnSuccess()
 		}
+		// Leave the gauge before the caller can observe its answer.
+		rt.stats.inflight.Add(-1)
 		r.done <- outcome{res: res}
 	}
-	rt.stats.inflight.Add(-int64(n))
 	w.rec.Emit(trace.Span{ID: batchID, Kind: trace.KindRespond,
 		Name: w.routeName, Batch: n, Start: tExec, Dur: trace.Now() - tExec})
 }

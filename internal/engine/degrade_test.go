@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -12,7 +13,9 @@ import (
 
 	"cbnet/internal/chaos"
 	"cbnet/internal/compress"
+	"cbnet/internal/dataset"
 	"cbnet/internal/models"
+	"cbnet/internal/nn"
 	"cbnet/internal/rng"
 	"cbnet/internal/tensor"
 )
@@ -30,6 +33,26 @@ func subflowVariant(t *testing.T) Variant {
 		t.Fatal(err)
 	}
 	return Variant{Name: "subflow-0.5", Net: net}
+}
+
+// TestNewPanicsOnUncompilableVariant: plans are the only inference path, so
+// a variant network the plan compiler rejects is a construction-time
+// failure that names the route, not a worker that silently cannot serve.
+func TestNewPanicsOnUncompilableVariant(t *testing.T) {
+	r := rng.New(6)
+	bad := Variant{Name: "mismatch", Net: nn.NewSequential("mismatch",
+		nn.NewDense("a", dataset.Pixels, 8, r), nn.NewDense("b", 9, dataset.NumClasses, r))}
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("New with an uncompilable variant: want panic")
+		}
+		if msg := fmt.Sprint(p); !strings.Contains(msg, "route mismatch") || !strings.Contains(msg, "nn: Compile") {
+			t.Fatalf("panic %q should name the route and carry the compile error", msg)
+		}
+	}()
+	e := New(testPipeline(), Config{Workers: 1, Variants: []Variant{bad}})
+	e.Close()
 }
 
 // TestVariantRouteServesAndMatchesForward pins the tentpole contract: a
@@ -328,8 +351,11 @@ func TestDeadlineAdmissionAndFormation(t *testing.T) {
 // controller is flapping between levels and workers are wedged, asserting
 // every caller is answered (race-clean; no hung goroutines).
 func TestShutdownDrainDuringDegradeTransitions(t *testing.T) {
+	// Gate both built-in routes so admitted requests pile up.
+	gate := make(gateFault)
 	e := New(testPipeline(), Config{
 		MaxBatch: 4, MaxWait: time.Hour, Workers: 1, QueueDepth: 64,
+		Fault: gate,
 		Degrade: DegradeConfig{
 			Enabled:       true,
 			Interval:      time.Millisecond,
@@ -346,16 +372,6 @@ func TestShutdownDrainDuringDegradeTransitions(t *testing.T) {
 		}
 		return 0
 	})
-
-	// Gate both built-in routes so admitted requests pile up.
-	gate := make(chan struct{})
-	for _, rt := range []*route{e.easy, e.hard} {
-		orig := rt.infer
-		rt.infer = func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-			<-gate
-			return orig(w, x)
-		}
-	}
 
 	const n = 24
 	var wg sync.WaitGroup

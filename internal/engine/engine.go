@@ -324,7 +324,8 @@ func gemmThreadsFor(cfg Config) int {
 }
 
 // New builds and starts an engine over a trained pipeline. It panics on
-// structurally invalid Variants or Degrade ladders — both are programmer
+// structurally invalid Variants or Degrade ladders, and on a route network
+// the plan compiler rejects (naming the route) — all are programmer
 // configuration, not runtime input.
 func New(pipe *core.Pipeline, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
@@ -356,23 +357,8 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	}
 	e.jitterState.Store(uint64(time.Now().UnixNano()) | 1)
 	e.easy = e.newRoute(RouteEasy,
-		func(batchCap int) (*core.PlanSet, error) { return pipe.ClassifierPlans(batchCap) },
-		func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-			if w.ps != nil {
-				return w.ps.Logits(x), nil
-			}
-			return pipe.LogitsScratch(x, w.s), nil
-		})
-	e.hard = e.newRoute(RouteHard,
-		func(batchCap int) (*core.PlanSet, error) { return pipe.Plans(batchCap) },
-		func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-			if w.ps != nil {
-				converted := w.ps.Convert(x)
-				return w.ps.Logits(converted), converted
-			}
-			converted := pipe.ConvertScratch(x, w.s)
-			return pipe.LogitsScratch(converted, w.s), converted
-		})
+		func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(pipe.Classifier, batchCap) }, false)
+	e.hard = e.newRoute(RouteHard, pipe.Plans, true)
 	for _, v := range cfg.Variants {
 		net := v.Net
 		if v.Name == "" || net == nil {
@@ -382,22 +368,24 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 			panic(fmt.Sprintf("engine: duplicate route name %q", v.Name))
 		}
 		e.newRoute(v.Name,
-			func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(net, batchCap) },
-			func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-				if w.ps != nil {
-					return w.ps.Logits(x), nil
-				}
-				return net.InferScratch(x, w.s), nil
-			})
+			func(batchCap int) (*core.PlanSet, error) { return core.PlanSetFor(net, batchCap) }, false)
 	}
+	live := e.routes
 	if cfg.DisableRouting {
 		// Only the hard route serves: leave the rest unstarted rather
 		// than idling workers that can never receive traffic.
-		e.startRoute(e.hard, cfg.Workers)
-	} else {
-		for _, rt := range e.routes {
-			e.startRoute(rt, cfg.Workers)
+		live = []*route{e.hard}
+	}
+	// Compile every worker's plans before any goroutine starts, so a
+	// network without a plan panics here with nothing left running.
+	workers := make([][]*worker, len(live))
+	for i, rt := range live {
+		for j := 0; j < cfg.Workers; j++ {
+			workers[i] = append(workers[i], e.newWorker(rt, j))
 		}
+	}
+	for i, rt := range live {
+		e.startRoute(rt, workers[i])
 	}
 	tensor.SetGEMMThreads(gemmThreadsFor(cfg))
 	if cfg.Degrade.Enabled {
@@ -407,14 +395,14 @@ func New(pipe *core.Pipeline, cfg Config) *Engine {
 	return e
 }
 
-func (e *Engine) startRoute(rt *route, workers int) {
+func (e *Engine) startRoute(rt *route, workers []*worker) {
 	rt.started = true
 	e.live = append(e.live, rt)
 	e.wg.Add(1)
 	go e.batchLoop(rt)
-	for i := 0; i < workers; i++ {
+	for _, w := range workers {
 		e.wg.Add(1)
-		go e.workerLoop(rt, i)
+		go e.workerLoop(rt, w)
 	}
 }
 

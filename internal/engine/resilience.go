@@ -206,18 +206,13 @@ func (e *Engine) bisect(rt *route, w *worker, batch []*request, parentID uint64,
 // Ref links the failed parent batch.
 func (e *Engine) runSubBatch(rt *route, w *worker, sub []*request, parentID uint64) bool {
 	n := len(sub)
-	if w.s != nil {
-		w.s.Reset()
-	}
 	subID := e.batchSeq.Add(1)
 	w.x.Shape[0] = n
 	w.x.Data = w.buf[:n*dataset.Pixels]
 	for i, r := range sub {
 		copy(w.x.Data[i*dataset.Pixels:(i+1)*dataset.Pixels], r.pixels)
 	}
-	if w.ps != nil {
-		w.ps.SetTraceID(subID)
-	}
+	w.ps.SetTraceID(subID)
 	t0 := trace.Now()
 	start := time.Now()
 	logits, converted, err := e.safeInfer(rt, w, &w.x)
@@ -249,6 +244,7 @@ func (e *Engine) runSubBatch(rt *route, w *worker, sub []*request, parentID uint
 		rt.stats.observeRequest(res.QueueWait)
 		e.stats.completed.Inc()
 		e.res.budget.OnSuccess()
+		rt.stats.inflight.Add(-1)
 		r.done <- outcome{res: res}
 	}
 	return true
@@ -258,6 +254,7 @@ func (e *Engine) runSubBatch(rt *route, w *worker, sub []*request, parentID uint
 func (e *Engine) failSubBatch(rt *route, sub []*request, inferErr error) {
 	e.stats.inferFailed.Add(int64(len(sub)))
 	for _, r := range sub {
+		rt.stats.inflight.Add(-1)
 		r.done <- outcome{err: inferErr}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cbnet/internal/dataset"
-	"cbnet/internal/tensor"
 )
 
 // TestStressConcurrentSubmitters hammers the engine from many goroutines
@@ -96,19 +95,24 @@ func TestStressConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// gateEngine wires a test engine whose hard route blocks on a gate, so
-// tests can saturate queues deterministically.
+// gateFault is a FaultInjector that holds every batch until the channel is
+// closed, wedging the workers so tests can saturate queues
+// deterministically.
+type gateFault chan struct{}
+
+func (g gateFault) BeforeInfer(string, int) error {
+	<-g
+	return nil
+}
+
+// gateEngine wires a test engine whose hard route blocks on a gate.
 func gateEngine(t *testing.T, cfg Config) (*Engine, chan struct{}) {
 	t.Helper()
 	cfg.DisableRouting = true
+	gate := make(gateFault)
+	cfg.Fault = gate
 	e := New(testPipeline(), cfg)
 	t.Cleanup(e.Close)
-	gate := make(chan struct{})
-	orig := e.hard.infer
-	e.hard.infer = func(w *worker, x *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-		<-gate
-		return orig(w, x)
-	}
 	return e, gate
 }
 

@@ -148,46 +148,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return y
 }
 
-// ForwardScratch is the inference fast path: the whole batch is expanded
-// into one (InC·KH·KW) × (N·OutH·OutW) column matrix — sample i occupying
-// columns [i·OutH·OutW, (i+1)·OutH·OutW) — and convolved with a single
-// GEMM, so micro-batches hit the blocked kernel at full arithmetic
-// intensity instead of as N skinny products. All buffers come from the
-// scratch arena; nothing is allocated once the arena is warm.
-func (c *Conv2D) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) *tensor.Tensor {
-	n := x.Shape[0]
-	if len(x.Shape) != 2 || x.Shape[1] != c.InSize() {
-		panic(fmt.Sprintf("conv %s: input shape %v, want (N, %d)", c.LayerName, x.Shape, c.InSize()))
-	}
-	colRows, colCols := c.Dims.ColRows(), c.Dims.ColCols()
-	batchCols := n * colCols
-
-	col := s.Take(colRows * batchCols)
-	if !tensor.ShouldParallel(n, colRows*colCols) {
-		c.im2colRange(x.Data, col, batchCols, 0, n)
-	} else {
-		tensor.ParallelFor(n, colRows*colCols, func(i0, i1 int) {
-			c.im2colRange(x.Data, col, batchCols, i0, i1)
-		})
-	}
-
-	// One batch-wide product: (OutC × colRows) · (colRows × N·colCols).
-	out := s.Take(c.OutC * batchCols)
-	tensor.GEMM(c.W.Value.Data, col, out, c.OutC, colRows, batchCols, 1, 0)
-
-	// Regroup channel-major GEMM output into sample-major rows, fusing the
-	// per-channel bias into the copy.
-	y := s.Tensor(n, c.OutC*colCols)
-	if !tensor.ShouldParallel(n, c.OutC*colCols) {
-		c.scatterRange(out, y.Data, c.B.Value.Data, colCols, batchCols, 0, n)
-	} else {
-		tensor.ParallelFor(n, c.OutC*colCols, func(i0, i1 int) {
-			c.scatterRange(out, y.Data, c.B.Value.Data, colCols, batchCols, i0, i1)
-		})
-	}
-	return y
-}
-
 // im2colRange expands samples [i0, i1) of the flattened batch in into their
 // column windows of the batch column matrix.
 func (c *Conv2D) im2colRange(in, col []float32, batchCols, i0, i1 int) {
@@ -199,25 +159,15 @@ func (c *Conv2D) im2colRange(in, col []float32, batchCols, i0, i1 int) {
 	}
 }
 
-// scatterRange writes samples [i0, i1) of the channel-major GEMM output src
-// into sample-major layout in dst, adding the per-channel bias when bias is
-// non-nil (the plan path fuses it into the GEMM and passes nil for a pure
-// regroup copy).
-func (c *Conv2D) scatterRange(src, dst, bias []float32, colCols, batchCols, i0, i1 int) {
+// scatterRange copies samples [i0, i1) of the channel-major GEMM output src
+// into sample-major layout in dst (the plan fuses bias and activation into
+// the GEMM, so this is a pure regroup).
+func (c *Conv2D) scatterRange(src, dst []float32, colCols, batchCols, i0, i1 int) {
 	outWidth := c.OutC * colCols
 	for i := i0; i < i1; i++ {
 		row := dst[i*outWidth : (i+1)*outWidth]
 		for oc := 0; oc < c.OutC; oc++ {
-			from := src[oc*batchCols+i*colCols : oc*batchCols+(i+1)*colCols]
-			to := row[oc*colCols : (oc+1)*colCols]
-			if bias == nil {
-				copy(to, from)
-				continue
-			}
-			b := bias[oc]
-			for j, v := range from {
-				to[j] = v + b
-			}
+			copy(row[oc*colCols:(oc+1)*colCols], src[oc*batchCols+i*colCols:oc*batchCols+(i+1)*colCols])
 		}
 	}
 }

@@ -15,9 +15,8 @@ import (
 // Dense+Softmax, …), and assigns every intermediate a fixed offset in one
 // preplanned buffer. Plan.Execute is then a flat loop over precompiled
 // steps — no interface dispatch, no type assertions, and zero steady-state
-// heap allocations — while Sequential.InferScratch remains the
-// compatibility path for dynamic shapes and layer types the compiler does
-// not know.
+// heap allocations. Plans are the only inference path; Sequential.Forward
+// is the training path and the reference every plan is tested against.
 //
 // Buffer planning is ping-pong liveness: only one intermediate is live
 // between consecutive steps, so step i reads slot i%2−1 and writes slot
@@ -76,8 +75,7 @@ type planStep struct {
 
 // Plan is a compiled inference program for one Sequential at a fixed batch
 // capacity. A Plan owns its intermediate buffer and is therefore
-// single-goroutine, like a scratch arena: engine workers each compile their
-// own. The layers' weights are shared and read-only.
+// single-goroutine: engine workers each compile their own. The layers' weights are shared and read-only.
 type Plan struct {
 	name     string
 	batchCap int
@@ -100,7 +98,7 @@ type Plan struct {
 
 // Compile builds the static execution plan of net for batches of up to
 // batchCap rows. It fails on non-positive capacities, on layer types it has
-// no step for (fall back to InferScratch), and on networks whose input
+// no step for, and on networks whose input
 // width cannot be inferred (no shape-bearing layer).
 func Compile(net *Sequential, batchCap int) (*Plan, error) {
 	if net == nil {
@@ -206,7 +204,7 @@ func Compile(net *Sequential, batchCap int) (*Plan, error) {
 				}
 			}
 		default:
-			return nil, fmt.Errorf("nn: Compile %s: no plan step for layer %s (%T); use InferScratch", net.Name(), l.Name(), l)
+			return nil, fmt.Errorf("nn: Compile %s: no plan step for layer %s (%T)", net.Name(), l.Name(), l)
 		}
 	}
 	if width < 0 {
@@ -535,10 +533,10 @@ func (p *Plan) runConv(st *planStep, in, out []float32, n int) {
 		tensor.Epilogue{Act: st.act, RowBias: c.B.Value.Data}, &p.pack)
 
 	if !tensor.ShouldParallel(n, c.OutC*colCols) {
-		c.scatterRange(gemmOut, out, nil, colCols, batchCols, 0, n)
+		c.scatterRange(gemmOut, out, colCols, batchCols, 0, n)
 	} else {
 		tensor.ParallelFor(n, c.OutC*colCols, func(i0, i1 int) {
-			c.scatterRange(gemmOut, out, nil, colCols, batchCols, i0, i1)
+			c.scatterRange(gemmOut, out, colCols, batchCols, i0, i1)
 		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // wideTestNet is big enough that its dense GEMM steps cross the tensor
 // package's parallel threshold, so Execute actually exercises the intra-GEMM
-// worker pool (the scratch-test net's products are all below it).
+// worker pool (the plan-test net's products are all below it).
 func wideTestNet(r *rng.RNG) *Sequential {
 	return NewSequential("wide-test",
 		NewDense("fc1", 784, 512, r),

@@ -312,32 +312,31 @@ func gemvRow(a, b, c []float32, k, n int, alpha, beta float32) {
 }
 
 // Fan-out floor for row-sliced work: a goroutine handoff + WaitGroup wake
-// costs on the order of a few thousand flops' worth of time, so a worker
+// costs tens of microseconds of wall time on a loaded host, so a worker
 // whose slice is only a row or two of light work loses more to scheduling
 // than it computes. Light rows therefore need minRowsPerWorker rows each
-// before another worker pays off (BenchmarkParallelRowsFloor); rows heavy
-// enough to dwarf the handoff (heavyRowFlops, ~an 8×64×64 GEMM each) may
+// before another worker pays off (BenchmarkParallelRowsFloor). A row heavy
+// enough to pass the parallel threshold on its own (heavyRowFlops) may
 // split all the way down to one row per worker — that is the engine's
-// batch-level fan-out over a handful of expensive images.
+// batch-level fan-out over a handful of expensive images. Measured with 2
+// rows of gemmNaiveRange on a 2-vCPU AVX-512 host, a 2-way split lost at
+// 32 768 MACs per row, was mixed at 131 072 and 262 144, and won at
+// 524 288 and above. Putting the boundary at the threshold also means two
+// heavy rows always clear it.
 const (
 	minRowsPerWorker = 4
-	heavyRowFlops    = parallelThreshold / 8
+	heavyRowFlops    = parallelThreshold
 )
 
-// maxRowWorkers returns how many goroutines row-sliced work over rows rows
-// totalling flops flops deserves (1 = stay serial).
-func maxRowWorkers(rows, flops int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if flops < parallelThreshold || workers < 2 || rows < 2 {
+// maxRowWorkers returns how many of procs goroutines row-sliced work over
+// rows rows totalling flops flops deserves (1 = stay serial).
+func maxRowWorkers(procs, rows, flops int) int {
+	if flops < parallelThreshold || procs < 2 || rows < 2 {
 		return 1
 	}
-	if workers > rows {
-		workers = rows
-	}
+	workers := min(procs, rows)
 	if flops/rows < heavyRowFlops {
-		if cap := rows / minRowsPerWorker; cap < workers {
-			workers = cap
-		}
+		workers = min(workers, max(1, rows/minRowsPerWorker))
 	}
 	return workers
 }
@@ -348,7 +347,7 @@ func parallelRows(rows, flops int, fn func(i0, i1 int)) {
 	if rows == 0 {
 		return
 	}
-	workers := maxRowWorkers(rows, flops)
+	workers := maxRowWorkers(runtime.GOMAXPROCS(0), rows, flops)
 	if workers < 2 {
 		fn(0, rows)
 		return
@@ -384,7 +383,7 @@ func ParallelFor(n, costPerItem int, fn func(i0, i1 int)) {
 // direct serial call — constructing the closure ParallelFor needs forces a
 // heap allocation even when the work ends up running inline.
 func ShouldParallel(items, costPerItem int) bool {
-	return maxRowWorkers(items, items*costPerItem) > 1
+	return maxRowWorkers(runtime.GOMAXPROCS(0), items, items*costPerItem) > 1
 }
 
 // MatVec computes y = A × x for a 2-D A (m×k) and 1-D x (k). Rows are

@@ -166,7 +166,7 @@ func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, c []float
 			pn.bp = bp
 			mBlocks := (m + blockMC - 1) / blockMC
 			slivers := (nc + kern.nr - 1) / kern.nr
-			threads := gemmFanout(2*m*kc*nc, mBlocks, slivers)
+			threads := gemmFanout(GEMMThreads(), 2*m*kc*nc, mBlocks, slivers)
 			if threads < 2 {
 				for ib := 0; ib < mBlocks; ib++ {
 					pn.blockSerial(db, ib)

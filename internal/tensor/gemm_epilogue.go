@@ -44,9 +44,8 @@ func (ep *Epilogue) isIdentity() bool {
 }
 
 // Sigmoid32 is the logistic function computed through float64 — the single
-// definition every sigmoid path (nn layer, scratch path, fused epilogue,
-// plan step) shares so their outputs agree bitwise. nn.Sigmoid32 aliases
-// it.
+// definition every sigmoid path (nn layer, fused epilogue, plan step)
+// shares so their outputs agree bitwise. nn.Sigmoid32 aliases it.
 func Sigmoid32(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }

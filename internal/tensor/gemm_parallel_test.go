@@ -151,37 +151,49 @@ func TestParallelBlockedZeroAllocs(t *testing.T) {
 
 // TestParallelRowsFloor pins the light-row fan-out floor: light per-row
 // work below minRowsPerWorker rows per worker stays serial, heavy rows may
-// still split fine-grained.
+// still split fine-grained. The proc count is a parameter, so the table
+// runs the same on every host.
 func TestParallelRowsFloor(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// maxRowWorkers is 1 whenever GOMAXPROCS is 1; the floor logic is
-		// still covered via the explicit table below on multicore CI.
-		t.Skip("needs GOMAXPROCS >= 2 to observe fan-out")
-	}
-	gmp := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
-		rows, flops int
-		wantMax     int
+		procs, rows, flops int
+		want               int
 	}{
-		{2, 2 * heavyRowFlops, 2},                     // heavy rows: fan out even at 2 rows
-		{2, parallelThreshold, 1},                     // 2 light-ish rows: stay serial
-		{6, 6 * (heavyRowFlops - 1), 1},               // 6 light rows: 6/4 = 1 worker
-		{8 * gmp, 8 * gmp * (heavyRowFlops - 1), gmp}, // plenty of rows: full fan-out
-		{0, parallelThreshold * 10, 1},                // degenerate
+		{2, 2, 2 * heavyRowFlops, 2},         // heavy rows: fan out even at 2 rows
+		{2, 2, 2 * 32768, 1},                 // measured: the 2-way split loses
+		{2, 2, parallelThreshold, 1},         // 2 light-ish rows: stay serial
+		{4, 6, 6 * (heavyRowFlops - 1), 1},   // 6 light rows: 6/4 = 1 worker
+		{4, 8, 8 * (heavyRowFlops - 1), 2},   // 8 light rows: 8/4 = 2 workers
+		{4, 32, 32 * (heavyRowFlops - 1), 4}, // plenty of rows: full fan-out
+		{8, 3, 3 * heavyRowFlops, 3},         // heavy rows: one per worker
+		{1, 64, 64 * heavyRowFlops, 1},       // one proc: always serial
+		{4, 64, parallelThreshold - 1, 1},    // below the total threshold
+		{4, 0, parallelThreshold * 10, 1},    // degenerate
+		{4, 1, parallelThreshold * 10, 1},    // a single row cannot split
 	} {
-		got := maxRowWorkers(tc.rows, tc.flops)
-		if tc.rows == 0 {
-			continue // parallelRows early-returns; maxRowWorkers unused
-		}
-		if got > tc.wantMax || got < 1 {
-			t.Errorf("maxRowWorkers(rows=%d, flops=%d) = %d, want ≤ %d", tc.rows, tc.flops, got, tc.wantMax)
+		if got := maxRowWorkers(tc.procs, tc.rows, tc.flops); got != tc.want {
+			t.Errorf("maxRowWorkers(procs=%d, rows=%d, flops=%d) = %d, want %d",
+				tc.procs, tc.rows, tc.flops, got, tc.want)
 		}
 	}
-	if w := maxRowWorkers(2, 2*heavyRowFlops); w != 2 {
-		t.Errorf("heavy 2-row case: got %d workers, want 2", w)
-	}
-	if w := maxRowWorkers(6, 6*(heavyRowFlops-1)); w != 1 {
-		t.Errorf("light 6-row case: got %d workers, want 1 (floor %d rows/worker)", w, minRowsPerWorker)
+}
+
+// TestGEMMFanout pins the per-panel thread choice: the configured threads,
+// capped by the task grid, with small panels kept serial.
+func TestGEMMFanout(t *testing.T) {
+	for _, tc := range []struct {
+		threads, flops, mBlocks, slivers int
+		want                             int
+	}{
+		{4, parallelThreshold, 4, 8, 4},
+		{4, parallelThreshold - 1, 4, 8, 1},
+		{1, parallelThreshold * 10, 4, 8, 1},
+		{8, parallelThreshold, 1, 3, 3},
+		{2, parallelThreshold, 1, 1, 1},
+	} {
+		if got := gemmFanout(tc.threads, tc.flops, tc.mBlocks, tc.slivers); got != tc.want {
+			t.Errorf("gemmFanout(threads=%d, flops=%d, grid=%d×%d) = %d, want %d",
+				tc.threads, tc.flops, tc.mBlocks, tc.slivers, got, tc.want)
+		}
 	}
 }
 

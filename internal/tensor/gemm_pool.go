@@ -209,8 +209,7 @@ func runPanelParallel(pn *gemmPanel, db *gemmBuf, threads, mBlocks, nChunks, sli
 // is worth: the configured thread setting, capped by the task grid, with
 // small panels kept serial — below the parallel threshold the barrier and
 // handoff cost more than the cores can win back.
-func gemmFanout(flops, mBlocks, slivers int) int {
-	threads := GEMMThreads()
+func gemmFanout(threads, flops, mBlocks, slivers int) int {
 	if threads < 2 || flops < parallelThreshold {
 		return 1
 	}

@@ -375,3 +375,15 @@ func TestQuickSumLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestArgMaxRows(t *testing.T) {
+	m := FromSlice([]float32{1, 3, 2, 9, 0, -1, -5, -2, -3}, 3, 3)
+	dst := make([]int, 3)
+	m.ArgMaxRows(dst)
+	want := []int{1, 0, 1}
+	for i := range want {
+		if dst[i] != want[i] {
+			t.Fatalf("ArgMaxRows = %v, want %v", dst, want)
+		}
+	}
+}
